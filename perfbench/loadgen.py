@@ -18,6 +18,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
+# p99 needs at least ten samples beyond it.
+MIN_CALLS_FOR_P99 = 1000
+# An open loop holds its offered rate only while calls go out on time:
+# a run where more than LATE_SHARE_LIMIT of the calls were sent over
+# LATE_LIMIT_MS after they fell due is marked as not having kept up.
+LATE_LIMIT_MS = 10.0
+LATE_SHARE_LIMIT = 0.05
+
+
 class Mismatch(Exception):
     """The program's answer disagrees with the model of what it must be."""
 
@@ -45,6 +54,7 @@ class Window:
     errors: list[str] = field(default_factory=list)
     server_cpu_s: float = 0.0
     client_cpu_s: float = 0.0
+    open_loop: bool = False
 
     @property
     def duration_s(self) -> float:
@@ -53,6 +63,17 @@ class Window:
     @property
     def ops_per_s(self) -> float:
         return self.items / self.duration_s if self.duration_s > 0 else 0.0
+
+    @property
+    def cpu_ms_per_op(self) -> float:
+        """Server plus client CPU time per operation."""
+        return (self.server_cpu_s + self.client_cpu_s) * 1000.0 / max(self.items, 1)
+
+    @property
+    def late_share(self) -> float:
+        """Share of open-loop calls sent more than LATE_LIMIT_MS after they fell due."""
+        late = sum(1 for value in self.late_ms if value > LATE_LIMIT_MS)
+        return late / len(self.late_ms) if self.late_ms else 0.0
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -63,15 +84,15 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))]
 
 
-def sliced_p99(values: list[float], slice_len: int = 1000) -> float:
-    """Median over consecutive ``slice_len``-call slices of each slice's p99.
+def sliced_p99(values: list[float]) -> float:
+    """Median over consecutive slices of :data:`MIN_CALLS_FOR_P99` calls of each slice's p99.
 
     Each slice keeps ten samples beyond its p99; taking the median over
     slices keeps one burst of host noise from setting the whole run's
     tail.  A remainder shorter than a slice joins the last slice.
     """
-    n_slices = max(1, len(values) // slice_len)
-    bounds = [i * slice_len for i in range(n_slices)] + [len(values)]
+    n_slices = max(1, len(values) // MIN_CALLS_FOR_P99)
+    bounds = [i * MIN_CALLS_FOR_P99 for i in range(n_slices)] + [len(values)]
     return statistics.median(
         percentile(values[bounds[i]:bounds[i + 1]], 0.99) for i in range(n_slices)
     )
@@ -165,7 +186,7 @@ def open_loop(
     A call is timed from when it fell due, so a stall is charged to every
     call it delays; how late each call was actually sent is recorded too.
     """
-    window = Window()
+    window = Window(open_loop=True)
     collector = _Collector(window, recorder)
     interval = 1.0 / rate_per_thread
 

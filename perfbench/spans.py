@@ -69,9 +69,9 @@ class Recorder:
         for span in self._stack():
             span[RID] = rid
 
-    def event(self, name: str, count: int = 1) -> None:
+    def event(self, name: str) -> None:
         now = time.monotonic()
-        self.records.append([name, now, now, 0, 0, None, count])
+        self.records.append([name, now, now, 0, 0, None, 1])
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

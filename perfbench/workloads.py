@@ -24,12 +24,13 @@ import time
 from pathlib import Path
 
 from loadgen import Call, Mismatch, closed_loop, open_loop
-from universe import DELEGATEE_DOMAIN, DELEGATOR_DOMAIN, build, decrypts_to
 
 from repro.serialization.containers import serialize_reencrypted
+from repro.service.driver import DELEGATEE_DOMAIN, DELEGATOR_DOMAIN, build_setting
 from repro.service.gateway import (
     DelegationNotFoundError,
     GrantRequest,
+    ReEncryptionGateway,
     ReEncryptRequest,
     RevokeRequest,
 )
@@ -37,6 +38,28 @@ from repro.service.wire.aio_client import connect_gateway
 
 ROOT = Path(__file__).resolve().parent.parent
 DECRYPT_SAMPLE = 8
+# How many times a revoke phase cycles each of its delegations.
+REVOKE_PASSES = 2
+
+
+def build_universe(group_name: str, seed: int, **shape):
+    """The seeded delegation universe, built client-side before the server starts.
+
+    Returns the :class:`DemoSetting` (party keys and the ciphertext pool,
+    ``(patient, type) -> [(ciphertext, message)]``) and its proxy keys
+    indexed by ``(patient, type, reader)``.  The setting's own in-process
+    gateway only holds the keys; the server receives them as grants.
+    """
+    setting = build_setting(
+        group_name, shard_count=1, seed="perfbench|%s|%s" % (group_name, seed), **shape
+    )
+    gateway = setting.gateway
+    proxy_keys = {
+        (key.delegator, key.type_label, key.delegatee): key
+        for name in gateway.shard_names
+        for key in gateway.shard_named(name).table
+    }
+    return setting, proxy_keys
 
 
 def _timed(latencies: list[float], fn, *args):
@@ -70,10 +93,10 @@ def _parallel(chunks: list[list], fn) -> None:
         raise errors[0]
 
 
-def _read_request(record, reader: str) -> ReEncryptRequest:
+def _read_request(ciphertext, reader: str) -> ReEncryptRequest:
     return ReEncryptRequest(
-        tenant=record.patient,
-        ciphertext=record.ciphertext,
+        tenant=ciphertext.identity,
+        ciphertext=ciphertext,
         delegatee_domain=DELEGATEE_DOMAIN,
         delegatee=reader,
     )
@@ -121,12 +144,12 @@ class Workload:
         raise NotImplementedError
 
     def connect(self, url: str):
-        return connect_gateway(url, self.universe.group, pool_size=self.n_threads)
+        return connect_gateway(url, self.setting.group, pool_size=self.n_threads)
 
     # -- phases ------------------------------------------------------------
 
     def grant_all(self, client) -> None:
-        keys = list(self.universe.proxy_keys.items())
+        keys = list(self.proxy_keys.items())
 
         def grant(entry):
             (patient, _type, _reader), key = entry
@@ -137,32 +160,39 @@ class Workload:
     def setup(self, client) -> None:
         raise NotImplementedError
 
+    def settle(self, client) -> None:
+        """Untimed, on the measured server only: reach the state the windows measure."""
+
     def window(self, client, seconds: float, server, recorder=None):
         raise NotImplementedError
 
     def revoke_phase(self, client) -> None:
-        """Untimed, after every setup: revoke, check refusal, re-grant.
+        """After each round of an untraced run: revoke, check refusal, re-grant.
 
-        It runs one at a time on every server at the same point, with the
-        same cache contents, so the revoke and grant samples spread over
-        the run without mixing states.
+        It runs one call at a time between two read windows, so its grant
+        and revoke samples spread over the run without mixing with reads.
         """
 
     def final_check(self, client) -> None:
         """Untimed, after the window: checks that need the live server."""
 
     def _revoke_cycle(self, client, delegations: list[tuple], read) -> None:
-        """Revoke each delegation, check a read is refused, re-grant it."""
-        for delegation in delegations:
-            _timed(self.revoke_ms, client.revoke, _revoke_request(*delegation))
-            try:
-                read(delegation)
-            except DelegationNotFoundError:
-                pass
-            else:
-                self.mismatches.append("read after revoke of %r succeeded" % (delegation,))
-            key = self.universe.proxy_keys[delegation]
-            _timed(self.grant_ms, client.grant, GrantRequest(tenant=delegation[0], proxy_key=key))
+        """Revoke each delegation, check a read is refused, re-grant it.
+
+        The whole list is cycled REVOKE_PASSES times, so the grant and
+        revoke medians rest on hundreds of samples per run.
+        """
+        for _ in range(REVOKE_PASSES):
+            for delegation in delegations:
+                _timed(self.revoke_ms, client.revoke, _revoke_request(*delegation))
+                try:
+                    read(delegation)
+                except DelegationNotFoundError:
+                    pass
+                else:
+                    self.mismatches.append("read after revoke of %r succeeded" % (delegation,))
+                key = self.proxy_keys[delegation]
+                _timed(self.grant_ms, client.grant, GrantRequest(tenant=delegation[0], proxy_key=key))
 
     # -- correctness -------------------------------------------------------
 
@@ -172,15 +202,16 @@ class Workload:
 
     def _expect_bytes(self, pair, reencrypted, what: str) -> None:
         """The first answer for ``pair`` is the reference for every later one."""
-        data = serialize_reencrypted(self.universe.group, reencrypted)
+        data = serialize_reencrypted(self.setting.group, reencrypted)
         with self._results_lock:
             reference = self._reference.setdefault(pair, data)
         if data != reference:
             self.mismatches.append("%s: %r differs from its first answer" % (what, pair))
 
     def _record_of(self, pair):
+        """``(ciphertext, message)`` of the record a result pair names."""
         patient, type_label, index = pair[0]
-        return self.universe.records[(patient, type_label)][index]
+        return self.setting.pool[(patient, type_label)][index]
 
     def check(self) -> None:
         for pair, reader, reencrypted in self.results:
@@ -194,8 +225,9 @@ class Workload:
         for pair, reader, reencrypted in rng.sample(
             self.results, min(DECRYPT_SAMPLE, len(self.results))
         ):
-            record = self._record_of(pair)
-            if not decrypts_to(self.universe, reencrypted, reader, record.message):
+            _ciphertext, message = self._record_of(pair)
+            key = self.setting.delegatee_keys[reader]
+            if self.setting.scheme.decrypt_reencrypted(reencrypted, key) != message:
                 self.mismatches.append("reader %s cannot decrypt %r" % (reader, pair))
 
 
@@ -204,15 +236,15 @@ class WarmReads(Workload):
     group_name = "SS512"
     # 4 patients x 2 types x 4 records x 4 readers = 128 hot pairs, well
     # under the 1024-entry result cache, over 32 delegations.
-    shape = dict(n_patients=4, n_types=2, n_readers=4, records_per_type=4)
+    shape = dict(n_patients=4, n_types=2, n_delegatees=4, ciphertexts_per_pair=4)
 
     def generate(self) -> None:
-        self.universe = build(self.group_name, str(self.seed), **self.shape)
-        self.records = [r for entries in self.universe.records.values() for r in entries]
+        self.setting, self.proxy_keys = build_universe(self.group_name, self.seed, **self.shape)
+        self.records = [record for entries in self.setting.pool.values() for record in entries]
         self.pairs = [
             (index, reader)
             for index in range(len(self.records))
-            for reader in self.universe.readers
+            for reader in self.setting.delegatees
         ]
         self._rngs = [
             random.Random("warm|%s|%d" % (self.seed, index)) for index in range(self.n_threads)
@@ -226,7 +258,7 @@ class WarmReads(Workload):
 
     def _read(self, client, pair):
         index, reader = pair
-        response = client.reencrypt(_read_request(self.records[index], reader))
+        response = client.reencrypt(_read_request(self.records[index][0], reader))
         return response.ciphertext
 
     def setup(self, client) -> None:
@@ -251,13 +283,13 @@ class WarmReads(Workload):
         return closed_loop(self.n_threads, seconds, next_call, server, recorder)
 
     def revoke_phase(self, client) -> None:
-        """Cycle every delegation, then warm the whole hot set again."""
+        """Cycle every delegation, then warm the whole hot set again before the next round."""
         first = {}
-        for index, record in enumerate(self.records):
-            first.setdefault((record.patient, record.type_label), index)
+        for index, (ciphertext, _message) in enumerate(self.records):
+            first.setdefault((ciphertext.identity, ciphertext.type_label), index)
         self._revoke_cycle(
             client,
-            sorted(self.universe.proxy_keys),
+            sorted(self.proxy_keys),
             lambda d: self._read(client, (first[d[:2]], d[2])),
         )
         self._warm(client)
@@ -269,21 +301,21 @@ class ColdBatches(Workload):
     batch_size = 2
     # 2 patients x 2 types x 48 records x 16 readers = 3072 distinct
     # (ciphertext, reader) pairs, three times the result cache.
-    shape = dict(n_patients=2, n_types=2, n_readers=16, records_per_type=48)
+    shape = dict(n_patients=2, n_types=2, n_delegatees=16, ciphertexts_per_pair=48)
 
     def generate(self) -> None:
-        self.universe = build(self.group_name, str(self.seed), **self.shape)
-        universe = self.universe
+        self.setting, self.proxy_keys = build_universe(self.group_name, self.seed, **self.shape)
+        setting = self.setting
         # One full cycle: round r takes records [k*r, k*r + k) of every
         # (patient, type) for every reader, so consecutive calls belong to
         # different delegation groups and no pair repeats within a cycle.
         self.cycle = [
             (patient, type_label, reader, tuple(range(start, start + self.batch_size)))
-            for start in range(0, self.shape["records_per_type"], self.batch_size)
-            for (patient, type_label) in universe.records
-            for reader in universe.readers
+            for start in range(0, self.shape["ciphertexts_per_pair"], self.batch_size)
+            for (patient, type_label) in setting.pool
+            for reader in setting.delegatees
         ]
-        self.groups_per_round = len(universe.records) * len(universe.readers)
+        self.groups_per_round = len(setting.pool) * len(setting.delegatees)
         self._position = 0
         self._lock = threading.Lock()
 
@@ -292,8 +324,8 @@ class ColdBatches(Workload):
 
     def _batch(self, client, entry):
         patient, type_label, reader, indices = entry
-        records = self.universe.records[(patient, type_label)]
-        responses = client.reencrypt_batch([_read_request(records[i], reader) for i in indices])
+        records = self.setting.pool[(patient, type_label)]
+        responses = client.reencrypt_batch([_read_request(records[i][0], reader) for i in indices])
         if len(responses) != len(indices):
             raise Mismatch("batch of %d returned %d answers" % (len(indices), len(responses)))
         return [
@@ -319,6 +351,20 @@ class ColdBatches(Workload):
 
         _parallel(_split(warm, self.n_threads), run)
 
+    def settle(self, client) -> None:
+        """Fill the result cache, so every window and revoke phase meets a full one.
+
+        A write scans the whole result cache for the delegation's entries,
+        so grant and revoke latency grows with the cache until it is full.
+        """
+        fill = [self._next() for _ in range(ReEncryptionGateway.result_cache_size // self.batch_size)]
+
+        def run(entry):
+            for pair, reader, reencrypted in self._batch(client, entry):
+                self._expect_bytes((pair, reader), reencrypted, "fill result")
+
+        _parallel(_split(fill, self.n_threads), run)
+
     def window(self, client, seconds: float, server, recorder=None):
         def next_call(index: int) -> Call:
             entry = self._next()
@@ -332,16 +378,18 @@ class ColdBatches(Workload):
         return closed_loop(self.n_threads, seconds, next_call, server, recorder)
 
     def revoke_phase(self, client) -> None:
-        """Cycle a seeded sample of groups; re-read each and compare bytes."""
-        sample = random.Random("revoke|%s" % self.seed).sample(sorted(self.universe.proxy_keys), 32)
+        """Cycle a seeded sample of groups.
 
-        def first_batch(delegation):
-            return self._batch(client, (*delegation, tuple(range(self.batch_size))))
-
-        self._revoke_cycle(client, sample, first_batch)
-        for delegation in sample:
-            for pair, reader, reencrypted in first_batch(delegation):
-                self._expect_bytes((pair, reader), reencrypted, "read after re-grant")
+        Nothing is re-read here, so no result enters the cache; the window
+        reads every group again on its next cycle, and :meth:`check`
+        compares those answers with the ones before the re-grant.
+        """
+        sample = random.Random("revoke|%s" % self.seed).sample(sorted(self.proxy_keys), 32)
+        self._revoke_cycle(
+            client,
+            sample,
+            lambda delegation: self._batch(client, (*delegation, tuple(range(self.batch_size)))),
+        )
 
 
 class _ChurnModel:
@@ -377,10 +425,10 @@ class GrantChurn(Workload):
     tenant = "perfbench"
     # Offered load in requests per second, summed over the client threads.
     rate = 200.0
-    shape = dict(n_patients=16, n_types=2, n_readers=4, records_per_type=2)
+    shape = dict(n_patients=16, n_types=2, n_delegatees=4, ciphertexts_per_pair=2)
 
     def generate(self) -> None:
-        self.universe = build(self.group_name, str(self.seed), **self.shape)
+        self.setting, self.proxy_keys = build_universe(self.group_name, self.seed, **self.shape)
         self.secret = hashlib.sha256(b"perfbench-tenant|%d" % self.seed).hexdigest()
         self.cert = self.workdir / "dev-cert.pem"
         self.key = self.workdir / "dev-key.pem"
@@ -397,10 +445,10 @@ class GrantChurn(Workload):
             )
         )
         # Each thread owns disjoint patients, so its model is exact.
-        owned = _split(self.universe.patients, self.n_threads)
+        owned = _split(self.setting.patients, self.n_threads)
         self.models = [
             _ChurnModel(
-                [k for k in self.universe.proxy_keys if k[0] in patients],
+                [k for k in self.proxy_keys if k[0] in patients],
                 random.Random("churn|%s|%d" % (self.seed, index)),
             )
             for index, patients in enumerate(owned)
@@ -417,7 +465,7 @@ class GrantChurn(Workload):
     def connect(self, url: str):
         return connect_gateway(
             url,
-            self.universe.group,
+            self.setting.group,
             pool_size=self.n_threads,
             tenant=self.tenant,
             secret=self.secret,
@@ -431,8 +479,8 @@ class GrantChurn(Workload):
         """
         self.grant_all(client)
         warm = [
-            (records[0], self.universe.readers[0])
-            for records in self.universe.records.values()
+            (records[0][0], self.setting.delegatees[0])
+            for records in self.setting.pool.values()
         ]
         _parallel(
             _split(warm, self.n_threads), lambda entry: client.reencrypt(_read_request(*entry))
@@ -455,13 +503,13 @@ class GrantChurn(Workload):
         if kind == "read":
             delegation = model.rng.choice(sorted(model.granted | model.revoked))
             patient, type_label, reader = delegation
-            index = model.rng.randrange(self.shape["records_per_type"])
-            record = self.universe.records[(patient, type_label)][index]
+            index = model.rng.randrange(self.shape["ciphertexts_per_pair"])
+            ciphertext, _message = self.setting.pool[(patient, type_label)][index]
             expect_ok = delegation in model.granted
 
             def run():
                 try:
-                    response = client.reencrypt(_read_request(record, reader))
+                    response = client.reencrypt(_read_request(ciphertext, reader))
                 except DelegationNotFoundError:
                     if expect_ok:
                         raise Mismatch("granted %r was refused" % (delegation,)) from None
@@ -484,7 +532,7 @@ class GrantChurn(Workload):
                     raise Mismatch("revoke of granted %r removed nothing" % (delegation,))
                 model.revoked.add(delegation)
             else:
-                client.grant(GrantRequest(tenant=patient, proxy_key=self.universe.proxy_keys[delegation]))
+                client.grant(GrantRequest(tenant=patient, proxy_key=self.proxy_keys[delegation]))
                 model.granted.add(delegation)
 
         return Call(kind, 1, run)
@@ -496,8 +544,8 @@ class GrantChurn(Workload):
         window = open_loop(
             self.n_threads, seconds, self.rate / self.n_threads, next_call, server, recorder
         )
-        self.grant_ms = window.by_kind_ms.get("grant", [])
-        self.revoke_ms = window.by_kind_ms.get("revoke", [])
+        self.grant_ms += window.by_kind_ms.get("grant", [])
+        self.revoke_ms += window.by_kind_ms.get("revoke", [])
         return window
 
     def final_check(self, client) -> None:
@@ -505,9 +553,9 @@ class GrantChurn(Workload):
         for model in self.models:
             for delegation in model.keys:
                 patient, type_label, reader = delegation
-                record = self.universe.records[(patient, type_label)][0]
+                ciphertext, _message = self.setting.pool[(patient, type_label)][0]
                 try:
-                    client.reencrypt(_read_request(record, reader))
+                    client.reencrypt(_read_request(ciphertext, reader))
                     served = True
                 except DelegationNotFoundError:
                     served = False
