@@ -19,9 +19,9 @@ host, CPU steal comes in episodes of ten seconds or more that can double
 every latency, and the best round is the one they disturbed least.  A
 slower program is slower in every round, so the best round still shows
 it.  Grant and revoke medians pool the samples of every round, because
-on ``cold-batches`` a write's cost grows over the first rounds (it scans
-the result cache, whose memory layout ages) and the best round would
-be the least typical one.
+a write's cost can grow over the first rounds (on ``cold-batches`` it
+scans the result cache, whose memory layout ages), and then the best
+round would be the least typical one.
 
 ``--trace 1`` sets up once, runs an untraced reference window of half
 that length, then a traced window of ``--seconds`` whose spans (client
