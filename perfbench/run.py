@@ -12,16 +12,14 @@ sees them only as grants and requests over the wire.
 
 ``--trace 0`` reports the end-to-end metrics: the server is set up
 three times and the median set-up time is reported, then the last
-server is measured for ``--seconds``, split into equal rounds, each
-followed by the workload's revoke phase.  Throughput, the call latency
-median and CPU per operation are those of the best round: on a shared
-host, CPU steal comes in episodes of ten seconds or more that can double
-every latency, and the best round is the one they disturbed least.  A
-slower program is slower in every round, so the best round still shows
-it.  Grant and revoke medians pool the samples of every round, because
-a write's cost can grow over the first rounds (on ``cold-batches`` it
-scans the result cache, whose memory layout ages), and then the best
-round would be the least typical one.
+server is measured for ``--seconds``, split into twenty equal rounds,
+each followed by the workload's revoke phase.  Every timing (throughput,
+the call latency median, CPU per operation, the grant and revoke
+medians) is taken over the faster half of the rounds, ranked by that
+timing: on a shared host, CPU steal comes in episodes of seconds to
+minutes that can slow every call by half, and the faster half is the
+part they disturbed least.  A slower program is slower in every round,
+so the faster half still shows it.
 
 ``--trace 1`` sets up once, runs an untraced reference window of half
 that length, then a traced window of ``--seconds`` whose spans (client
@@ -52,7 +50,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK_ROOT = ROOT / ".perfbench-work"
 SETUPS = 3
-ROUNDS = 5
+ROUNDS = 20
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -160,17 +158,32 @@ def _traced(workload, client, server, seconds: float, recorder):
     return window, reference
 
 
+def _faster_half(rounds: list, cost) -> list:
+    """The half of ``rounds`` (at least one) with the lowest ``cost``."""
+    return sorted(rounds, key=cost)[: max(1, len(rounds) // 2)]
+
+
+def _pooled_median(samples: list[list[float]]) -> float:
+    """Median of every sample of the faster half of the rounds in ``samples``."""
+    rounds = [values for values in samples if values]
+    return statistics.median(
+        value for values in _faster_half(rounds, statistics.median) for value in values
+    )
+
+
 def _end_to_end(workload, setup_s: list[float], windows: list, answered, rss_mb: float) -> dict:
+    fast = _faster_half(windows, lambda window: -window.ops_per_s)
+    ops_per_s = sum(window.items for window in fast) / sum(window.duration_s for window in fast)
+    fast = _faster_half(windows, lambda window: window.server_cpu_s / max(window.items, 1))
+    server_cpu_ms = 1000.0 * sum(window.server_cpu_s for window in fast)
     return {
         "setup_s": statistics.median(setup_s),
-        "ops_per_s": max(window.ops_per_s for window in windows),
-        "p50_ms": min(statistics.median(window.latencies_ms) for window in windows),
-        "grant_p50_ms": statistics.median(workload.grant_ms),
-        "revoke_p50_ms": statistics.median(workload.revoke_ms),
+        "ops_per_s": ops_per_s,
+        "p50_ms": _pooled_median([window.latencies_ms for window in windows]),
+        "grant_p50_ms": _pooled_median(workload.write_ms["grant"]),
+        "revoke_p50_ms": _pooled_median(workload.write_ms["revoke"]),
         "ok_ratio": (answered.items - answered.failed_items) / max(answered.items, 1),
-        "server_cpu_ms_per_op": min(
-            window.server_cpu_s * 1000.0 / max(window.items, 1) for window in windows
-        ),
+        "server_cpu_ms_per_op": server_cpu_ms / max(sum(window.items for window in fast), 1),
         "server_rss_mb": rss_mb,
     }
 

@@ -38,7 +38,11 @@ from repro.service.wire.aio_client import connect_gateway
 
 ROOT = Path(__file__).resolve().parent.parent
 DECRYPT_SAMPLE = 8
-# How many times a revoke phase cycles each of its delegations.
+# Each revoke phase takes the next REVOKE_DELEGATIONS delegations of a
+# seeded order and cycles each of them REVOKE_PASSES times.  Many small
+# phases spread the write samples over the whole run: a write's cost on
+# a full result cache rises and falls by half as the cache churns.
+REVOKE_DELEGATIONS = 8
 REVOKE_PASSES = 2
 
 
@@ -118,7 +122,8 @@ class Workload:
 
     ``results`` collects ``(pair, reader, reencrypted)`` for every answer
     the window returned; :meth:`check` byte-compares each with the first
-    answer seen for its pair and decrypts a seeded sample.
+    answer seen for its pair and decrypts a seeded sample.  ``write_ms``
+    holds, per kind, one list of grant or revoke latencies per round.
     """
 
     name = ""
@@ -128,8 +133,8 @@ class Workload:
         self.seed = seed
         self.workdir = workdir
         self.n_threads = n_threads
-        self.grant_ms: list[float] = []
-        self.revoke_ms: list[float] = []
+        self.write_ms: dict[str, list[list[float]]] = {"grant": [], "revoke": []}
+        self._revoked = 0
         self.mismatches: list[str] = []
         self.results: list[tuple] = []
         self._reference: dict = {}
@@ -176,15 +181,24 @@ class Workload:
     def final_check(self, client) -> None:
         """Untimed, after the window: checks that need the live server."""
 
-    def _revoke_cycle(self, client, delegations: list[tuple], read) -> None:
-        """Revoke each delegation, check a read is refused, re-grant it.
+    def _revoke_cycle(self, client, read) -> list[tuple]:
+        """Revoke the next delegations, check a read is refused, re-grant them.
 
-        The whole list is cycled REVOKE_PASSES times, so the grant and
-        revoke medians rest on hundreds of samples per run.
+        Returns the delegations it cycled; their latencies are one round
+        of ``write_ms``.
         """
+        order = random.Random("revoke|%s" % self.seed).sample(
+            sorted(self.proxy_keys), len(self.proxy_keys)
+        )
+        delegations = [
+            order[(self._revoked + offset) % len(order)] for offset in range(REVOKE_DELEGATIONS)
+        ]
+        self._revoked += REVOKE_DELEGATIONS
+        grant_ms: list[float] = []
+        revoke_ms: list[float] = []
         for _ in range(REVOKE_PASSES):
             for delegation in delegations:
-                _timed(self.revoke_ms, client.revoke, _revoke_request(*delegation))
+                _timed(revoke_ms, client.revoke, _revoke_request(*delegation))
                 try:
                     read(delegation)
                 except DelegationNotFoundError:
@@ -192,7 +206,10 @@ class Workload:
                 else:
                     self.mismatches.append("read after revoke of %r succeeded" % (delegation,))
                 key = self.proxy_keys[delegation]
-                _timed(self.grant_ms, client.grant, GrantRequest(tenant=delegation[0], proxy_key=key))
+                _timed(grant_ms, client.grant, GrantRequest(tenant=delegation[0], proxy_key=key))
+        self.write_ms["grant"].append(grant_ms)
+        self.write_ms["revoke"].append(revoke_ms)
+        return delegations
 
     # -- correctness -------------------------------------------------------
 
@@ -263,13 +280,13 @@ class WarmReads(Workload):
 
     def setup(self, client) -> None:
         self.grant_all(client)
-        self._warm(client)
+        self._warm(client, self.pairs)
 
-    def _warm(self, client) -> None:
+    def _warm(self, client, pairs: list) -> None:
         def warm(pair):
             self._expect_bytes(pair, self._read(client, pair), "warm-up result")
 
-        _parallel(_split(self.pairs, self.n_threads), warm)
+        _parallel(_split(pairs, self.n_threads), warm)
 
     def window(self, client, seconds: float, server, recorder=None):
         def next_call(index: int) -> Call:
@@ -282,17 +299,18 @@ class WarmReads(Workload):
 
         return closed_loop(self.n_threads, seconds, next_call, server, recorder)
 
+    def _delegation(self, pair) -> tuple:
+        index, reader = pair
+        ciphertext = self.records[index][0]
+        return (ciphertext.identity, ciphertext.type_label, reader)
+
     def revoke_phase(self, client) -> None:
-        """Cycle every delegation, then warm the whole hot set again before the next round."""
+        """Cycle the next delegations, then warm their part of the hot set again."""
         first = {}
-        for index, (ciphertext, _message) in enumerate(self.records):
-            first.setdefault((ciphertext.identity, ciphertext.type_label), index)
-        self._revoke_cycle(
-            client,
-            sorted(self.proxy_keys),
-            lambda d: self._read(client, (first[d[:2]], d[2])),
-        )
-        self._warm(client)
+        for pair in self.pairs:
+            first.setdefault(self._delegation(pair), pair)
+        cycled = set(self._revoke_cycle(client, lambda d: self._read(client, first[d])))
+        self._warm(client, [pair for pair in self.pairs if self._delegation(pair) in cycled])
 
 
 class ColdBatches(Workload):
@@ -352,12 +370,16 @@ class ColdBatches(Workload):
         _parallel(_split(warm, self.n_threads), run)
 
     def settle(self, client) -> None:
-        """Fill the result cache, so every window and revoke phase meets a full one.
+        """Fill the result cache, then replace every entry once more.
 
         A write scans the whole result cache for the delegation's entries,
         so grant and revoke latency grows with the cache until it is full.
+        It also runs slower, by up to half, until the entries of the first
+        fill have been evicted; measured from a cache filled only once,
+        the write medians of five seeds spread three times as far.
         """
-        fill = [self._next() for _ in range(ReEncryptionGateway.result_cache_size // self.batch_size)]
+        fill_calls = 2 * ReEncryptionGateway.result_cache_size // self.batch_size
+        fill = [self._next() for _ in range(fill_calls)]
 
         def run(entry):
             for pair, reader, reencrypted in self._batch(client, entry):
@@ -378,16 +400,14 @@ class ColdBatches(Workload):
         return closed_loop(self.n_threads, seconds, next_call, server, recorder)
 
     def revoke_phase(self, client) -> None:
-        """Cycle a seeded sample of groups.
+        """Cycle the next delegations (one group each).
 
         Nothing is re-read here, so no result enters the cache; the window
         reads every group again on its next cycle, and :meth:`check`
         compares those answers with the ones before the re-grant.
         """
-        sample = random.Random("revoke|%s" % self.seed).sample(sorted(self.proxy_keys), 32)
         self._revoke_cycle(
             client,
-            sample,
             lambda delegation: self._batch(client, (*delegation, tuple(range(self.batch_size)))),
         )
 
@@ -544,8 +564,8 @@ class GrantChurn(Workload):
         window = open_loop(
             self.n_threads, seconds, self.rate / self.n_threads, next_call, server, recorder
         )
-        self.grant_ms += window.by_kind_ms.get("grant", [])
-        self.revoke_ms += window.by_kind_ms.get("revoke", [])
+        for kind, rounds in self.write_ms.items():
+            rounds.append(window.by_kind_ms.get(kind, []))
         return window
 
     def final_check(self, client) -> None:
