@@ -9,16 +9,17 @@ network; this package makes that literal.  Five layers:
   the stable ``invalid-request`` code — plus the length-prefixed mux
   framing the async transport multiplexes those messages inside;
 * :mod:`repro.service.wire.server` — :class:`GatewayHttpServer`, one or
-  several scheme fleets behind stdlib ``ThreadingHTTPServer``
-  (scheme-id-prefixed routes, ``GET /v1/schemes`` enumeration) with the
-  error taxonomy mapped to HTTP statuses;
+  several scheme fleets behind stdlib ``ThreadingHTTPServer``: a thin
+  HTTP/1.1 transport over the shared request engine;
 * :mod:`repro.service.wire.client` — :class:`RemoteGateway`, the same
   typed API as the in-process gateway, so drivers and benchmarks run
   unchanged against either;
-* :mod:`repro.service.wire.aio_server` — :class:`AsyncGatewayServer`,
-  the asyncio escape from thread-per-connection: one event loop, both
-  mux framing and HTTP/1.1 on one port, gateway calls on a bounded
-  worker pool;
+* :mod:`repro.service.wire.aio_server` — the one request engine,
+  ``WireRequestExecutor`` (scheme-id-prefixed routes, ``GET /v1/schemes``
+  enumeration, auth, idempotency, the error taxonomy mapped to HTTP
+  statuses), and :class:`AsyncGatewayServer`, the asyncio escape from
+  thread-per-connection: one event loop, both mux framing and HTTP/1.1
+  on one port, gateway calls on a bounded worker pool;
 * :mod:`repro.service.wire.aio_client` — :class:`MuxRemoteGateway`
   (many in-flight requests over ONE socket) and the URL-dispatching
   :func:`connect_gateway` factory.

@@ -223,6 +223,12 @@ class MuxRemoteGateway(RemoteGateway):
             self.connections_closed += 1
             orphans = list(self._waiters.values())
             self._waiters.clear()
+        # close() alone does not wake a reader blocked in recv on Linux;
+        # shutdown() does, so the reader exits now instead of lingering.
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
         try:
             sock.close()
         except OSError:

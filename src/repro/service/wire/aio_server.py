@@ -21,16 +21,14 @@ each connection:
   :class:`~repro.service.wire.client.RemoteGateway` (and bare ``curl``)
   can talk to an async server unchanged.
 
-Both transports feed the same :class:`WireRequestExecutor`, a
-transport-independent port of the threaded handler's semantics: same
-routes, same auth gates, same idempotency window, same taxonomy bodies.
-The payload encoders live in ``codec`` (``sort_keys`` everywhere), so a
-response produced here is byte-identical to the threaded stack's — the
-conformance suite (``tests/test_wire_aio.py``) asserts exactly that.
-
-The threaded :class:`~repro.service.wire.server.GatewayHttpServer`
-deliberately stays as an independent implementation: it is the
-conformance reference this server is checked against.
+Both transports feed the same :class:`WireRequestExecutor`, the one
+request engine of the wire layer: routes, auth gates, tenant stamping,
+the idempotency window and the taxonomy bodies all live there.  The
+threaded :class:`~repro.service.wire.server.GatewayHttpServer` is a thin
+``http.server`` transport over the same executor, so every stack answers
+byte-identically by construction; ``tests/data/wire_transcript.json``
+(replayed by ``tests/test_wire_aio.py``) pins those bytes as recorded
+data.
 """
 
 from __future__ import annotations
@@ -41,13 +39,14 @@ import json
 import random
 import threading
 import traceback
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.api import PreBackend
+from repro.core.api import PreBackend, resolve_backend
 from repro.pairing.group import PairingGroup
 from repro.service.auth.errors import ForbiddenError
 from repro.service.auth.signing import AUTH_HEADER
@@ -89,24 +88,190 @@ from repro.service.wire.codec import (
     scheme_document,
     to_wire,
 )
-from repro.service.wire.server import (
-    PROMETHEUS_CONTENT_TYPE,
-    STATUS_BY_CODE,
-    IdempotencyWindow,
-    build_host_map,
-)
 
-__all__ = ["AsyncGatewayServer", "WireRequestExecutor", "WireResponse"]
+__all__ = [
+    "AsyncGatewayServer",
+    "IdempotencyWindow",
+    "PROMETHEUS_CONTENT_TYPE",
+    "STATUS_BY_CODE",
+    "WireRequestExecutor",
+    "WireResponse",
+    "build_host_map",
+    "rejection",
+    "request_body_length",
+]
 
 _SERVER_ID = "repro-gateway-aio/1.0"
-_MAX_BODY_BYTES = 64 * 1024 * 1024
+_MAX_BODY_BYTES = 64 * 1024 * 1024  # refuse absurd Content-Length up front
 
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+# Taxonomy code -> HTTP status.  Codes not listed map to 500.
+STATUS_BY_CODE = {
+    "rate-limited": 429,
+    "quota-exceeded": 429,
+    "no-delegation": 404,
+    "entry-not-found": 404,
+    "invalid-request": 400,
+    "no-store": 503,
+    # A routing tier that cannot reach a shard process is the server
+    # being (partially) unavailable, not the request being wrong.
+    "wire-transport": 503,
+    # Authentication failures (who are you?) are 401; an authenticated
+    # tenant whose roles refuse the operation is 403.
+    "auth-failed": 401,
+    "auth-required": 401,
+    "auth-unknown-tenant": 401,
+    "auth-bad-signature": 401,
+    "auth-stale-timestamp": 401,
+    "auth-replay": 401,
+    "auth-forbidden": 403,
+}
+
+# The per-fleet operation names (the last path segment after the scheme
+# prefix, or the whole tail for the legacy unprefixed family).
 _POST_OPS = frozenset({"grant", "revoke", "reencrypt", "fetch", "resize", "export"})
 _GET_OPS = frozenset({"metrics", "scheme"})
+
+# Mutations whose wire replay must be deduplicated by client request id.
 _IDEMPOTENT_OPS = frozenset({"revoke", "resize"})
 
 _AUTH_HEADER_LOWER = AUTH_HEADER.lower()
 _TRACE_HEADER_LOWER = TRACE_HEADER.lower()
+
+
+def build_host_map(gateway=None, group=None, gateways=None):
+    """Validate the hosted-fleet arguments into ``(hosts, scheme_ids)``.
+
+    Shared by the threaded and asyncio servers so both accept the exact
+    same ``gateway``/``group``/``gateways`` spellings: ``hosts`` maps
+    each scheme id to its ``(fleet, backend)`` pair, ``scheme_ids``
+    keeps the hosting order.
+    """
+    if gateways is None:
+        if gateway is None:
+            raise ValueError("pass a gateway (or a gateways sequence)")
+        gateways = [gateway]
+    elif gateway is not None:
+        raise ValueError("pass either gateway or gateways, not both")
+    gateways = list(gateways)
+    if not gateways:
+        raise ValueError("gateways must not be empty")
+    hosts: dict[str, tuple] = {}
+    scheme_ids: list[str] = []
+    for fleet in gateways:
+        # The wire speaks each gateway's own backend when it has one (an
+        # in-process ReEncryptionGateway always does); ``group`` is the
+        # legacy spelling and the fallback for bare gateway-like objects.
+        backend = getattr(fleet, "backend", None)
+        if backend is None:
+            if group is None:
+                raise ValueError("gateway has no backend; pass group or backend")
+            backend = resolve_backend(group)
+        if backend.scheme_id in hosts:
+            raise ValueError(
+                "scheme %r is already hosted; one fleet per scheme"
+                % backend.scheme_id
+            )
+        hosts[backend.scheme_id] = (fleet, backend)
+        scheme_ids.append(backend.scheme_id)
+    return hosts, scheme_ids
+
+
+class IdempotencyWindow:
+    """A bounded single-flight LRU of completed mutation responses.
+
+    Revoke and resize are not blind replays: rerunning one against the
+    state its first run produced mis-reports the outcome (``removed``
+    flips to False, a second migration moves zero keys).  So the server
+    remembers, per ``(scheme, op, request_id)``, the encoded response of
+    the execution that completed — a retry carrying the same id gets
+    that response verbatim instead of a second execution.
+
+    :meth:`claim` is also a single-flight gate: while one thread
+    executes a key, a duplicate blocks until the executor finishes (or
+    its wait times out and it takes over), so the drop-retry race — the
+    retry arriving while the original request is still running — cannot
+    execute twice either.  Failed executions are never recorded; their
+    retry executes for real.
+
+    Each claim is stamped with an owner token.  When a waiter takes
+    over a stuck key, the original (slow, not dead) executor's
+    :meth:`complete` arrives holding a stale token: it must neither
+    record its payload nor release the taker's in-flight claim —
+    otherwise a third retry would see a free key and execute again
+    while the taker is still running.
+    """
+
+    def __init__(self, capacity: int = 4096, wait_timeout: float = 30.0):
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self.wait_timeout = wait_timeout
+        self.hits = 0
+        self.takeovers = 0
+        self.stale_completions = 0
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, str] = OrderedDict()
+        self._inflight: dict[tuple, _InflightClaim] = {}
+
+    def claim(self, key: tuple) -> "tuple[str | None, _InflightClaim | None]":
+        """``(recorded_response, None)``, or ``(None, token)`` once the
+        caller owns execution; the token must be passed to :meth:`complete`."""
+        while True:
+            with self._lock:
+                payload = self._entries.get(key)
+                if payload is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return payload, None
+                claim = self._inflight.get(key)
+                if claim is None:
+                    claim = _InflightClaim()
+                    self._inflight[key] = claim
+                    return None, claim
+            if not claim.event.wait(self.wait_timeout):
+                with self._lock:
+                    # The executor is stuck or died without completing;
+                    # take over if nobody else already has.  The stale
+                    # owner's eventual complete() sees a token mismatch
+                    # and cannot clobber this fresh claim.
+                    if self._inflight.get(key) is claim:
+                        takeover = _InflightClaim()
+                        self._inflight[key] = takeover
+                        self.takeovers += 1
+                        return None, takeover
+                # Someone else already took over (or the executor just
+                # finished): loop and wait on whatever claim is current.
+
+    def complete(self, key: tuple, token: "_InflightClaim", payload: str | None) -> None:
+        """Record a successful payload (or release the claim on failure).
+
+        A stale ``token`` — one whose claim was taken over while it ran —
+        records nothing and leaves the current owner's claim in place; it
+        only wakes threads still parked on the stale event so they re-queue
+        behind the current owner.
+        """
+        with self._lock:
+            if self._inflight.get(key) is not token:
+                self.stale_completions += 1
+            else:
+                del self._inflight[key]
+                if payload is not None:
+                    self._entries[key] = payload
+                    self._entries.move_to_end(key)
+                    while len(self._entries) > self.capacity:
+                        self._entries.popitem(last=False)
+        token.event.set()
+
+
+class _InflightClaim:
+    """One in-flight execution's identity: its owner token and wake event."""
+
+    __slots__ = ("event",)
+
+    def __init__(self):
+        self.event = threading.Event()
 
 
 @dataclass
@@ -120,6 +285,33 @@ class WireResponse:
     close: bool = False
 
 
+def request_body_length(headers: dict[str, str]) -> int:
+    """The body length a request's (lowercase) HTTP headers declare.
+
+    Both HTTP transports call this before reading a body.  Raises
+    :class:`InvalidRequestError` for a chunked body (never drained here,
+    so its framing bytes would desync the keep-alive stream), a
+    malformed ``Content-Length`` or one past the 64 MiB cap; answer
+    those with :func:`rejection`, which closes the connection.
+    """
+    if headers.get("transfer-encoding"):
+        raise InvalidRequestError("Transfer-Encoding is not supported")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        raise InvalidRequestError("invalid Content-Length") from None
+    if length < 0 or length > _MAX_BODY_BYTES:
+        raise InvalidRequestError("unacceptable Content-Length %d" % length)
+    return length
+
+
+def rejection(error: InvalidRequestError) -> WireResponse:
+    """The 400 for a request the transport could not frame; closes the
+    connection, since unread request bytes would masquerade as the next
+    request."""
+    return WireResponse(400, neutral_error_to_wire(error).encode("utf-8"), close=True)
+
+
 class _UnknownEndpoint(Exception):
     def __init__(self, path: str):
         super().__init__(path)
@@ -127,13 +319,13 @@ class _UnknownEndpoint(Exception):
 
 
 class WireRequestExecutor:
-    """The transport-independent request engine behind the async server.
+    """The transport-independent request engine behind both servers.
 
     ``handle`` takes one parsed request (method, target, body, lowercase
     headers, client address string) and returns a :class:`WireResponse`.
-    It is synchronous and thread-safe — the server runs it on its
-    bounded worker pool — and mirrors the threaded handler's semantics
-    route for route so the two stacks answer byte-identically.
+    It is synchronous and thread-safe: the asyncio server runs it on its
+    bounded worker pool, the threaded server on each connection's
+    handler thread.
     """
 
     def __init__(
@@ -146,6 +338,8 @@ class WireRequestExecutor:
         trace_sample: float = 1.0,
         wire_stats: WireServerStats | None = None,
     ):
+        if not 0.0 <= trace_sample <= 1.0:
+            raise ValueError("trace_sample must be in [0, 1]")
         self.hosts = hosts
         self.scheme_ids = list(scheme_ids)
         self.single = scheme_ids[0] if len(scheme_ids) == 1 else None
@@ -154,8 +348,10 @@ class WireRequestExecutor:
         self.auth = auth
         self.trace_sample = float(trace_sample)
         self.wire_stats = wire_stats
-        # Same deterministic seed as the threaded server, guarded the
-        # same way: sampled counts stay exact and cross-stack identical.
+        # Deterministic seed: sampling decisions are reproducible across
+        # runs, and tests can predict exact sampled counts.  The lock
+        # serializes concurrent draws so the deterministic sequence (and
+        # the generator state itself) survives concurrency.
         self._trace_rng = random.Random(0x5EED)
         self._trace_rng_lock = threading.Lock()
 
@@ -218,8 +414,8 @@ class WireRequestExecutor:
         """One request in, one :class:`WireResponse` out; never raises."""
         try:
             # The echo is re-serialized from the strict parse, never the
-            # raw client value (same CR/LF sanitization as the threaded
-            # server's fixed path).
+            # raw client value: a header with embedded CR/LF must not
+            # split the keep-alive response stream.
             parsed_trace = TraceContext.from_header(headers.get(_TRACE_HEADER_LOWER))
             echo = parsed_trace.to_header() if parsed_trace is not None else None
             if method == "GET":
@@ -250,9 +446,8 @@ class WireRequestExecutor:
                 neutral_error_to_wire(GatewayError("internal error: %s" % error)),
                 close=True,
             )
-        # Access-line parity with the threaded server's log_message hook:
-        # every request (either transport) lands in the structured event
-        # log instead of a stderr nobody reads.
+        # Every request (any transport) leaves an access line in the
+        # structured event log instead of a stderr nobody reads.
         self.event_log.emit(
             "http-log",
             client=client,
@@ -600,8 +795,6 @@ class AsyncGatewayServer:
         workers: int = 8,
         max_streams: int = 256,
     ):
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError("trace_sample must be in [0, 1]")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_streams < 1:
@@ -723,7 +916,9 @@ class AsyncGatewayServer:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        self._pool.shutdown(wait=False)
+        # The loop has stopped submitting work; wait for the workers so
+        # no gateway-aio thread outlives the server.
+        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "AsyncGatewayServer":
         return self.start()
@@ -901,15 +1096,7 @@ class AsyncGatewayServer:
             parts = line.decode("latin-1").strip().split()
             if len(parts) < 2:
                 await self._write_http(
-                    writer,
-                    WireResponse(
-                        400,
-                        neutral_error_to_wire(
-                            InvalidRequestError("malformed request line")
-                        ).encode("utf-8"),
-                        close=True,
-                    ),
-                    close=True,
+                    writer, rejection(InvalidRequestError("malformed request line"))
                 )
                 return
             method, target = parts[0].upper(), parts[1]
@@ -921,31 +1108,10 @@ class AsyncGatewayServer:
                 name, sep, value = hline.decode("latin-1").partition(":")
                 if sep:
                     headers[name.strip().lower()] = value.strip()
-            reject: InvalidRequestError | None = None
-            length = 0
-            if headers.get("transfer-encoding"):
-                reject = InvalidRequestError("Transfer-Encoding is not supported")
-            else:
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    reject = InvalidRequestError("invalid Content-Length")
-                else:
-                    if length < 0 or length > _MAX_BODY_BYTES:
-                        reject = InvalidRequestError(
-                            "unacceptable Content-Length %d" % length
-                        )
-            if reject is not None:
-                # The body was never drained; this connection is
-                # desynchronized — answer and close, like the threaded
-                # server's rejection path.
-                await self._write_http(
-                    writer,
-                    WireResponse(
-                        400, neutral_error_to_wire(reject).encode("utf-8"), close=True
-                    ),
-                    close=True,
-                )
+            try:
+                length = request_body_length(headers)
+            except InvalidRequestError as error:
+                await self._write_http(writer, rejection(error))
                 return
             body = await reader.readexactly(length) if length else b""
             self.stats.stream_started()
@@ -955,14 +1121,14 @@ class AsyncGatewayServer:
                 )
             finally:
                 self.stats.stream_finished()
-            client_close = headers.get("connection", "").lower() == "close"
-            closing = result.close or client_close
-            await self._write_http(writer, result, close=closing)
-            if closing:
+            if headers.get("connection", "").lower() == "close":
+                result.close = True
+            await self._write_http(writer, result)
+            if result.close:
                 return
 
     async def _write_http(
-        self, writer: asyncio.StreamWriter, result: WireResponse, close: bool
+        self, writer: asyncio.StreamWriter, result: WireResponse
     ) -> None:
         head = [
             "HTTP/1.1 %d %s" % (result.status, _REASONS.get(result.status, "OK")),
@@ -972,7 +1138,7 @@ class AsyncGatewayServer:
         ]
         if result.trace_echo:
             head.append("%s: %s" % (TRACE_HEADER, result.trace_echo))
-        if close:
+        if result.close:
             head.append("Connection: close")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + result.body)
         await writer.drain()

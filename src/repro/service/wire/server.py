@@ -42,57 +42,40 @@ entry-not-found, `400` invalid-request, `503` no-store, `500` anything
 else), so HTTP-level callers and :class:`RemoteGateway` agree on
 semantics without parsing prose.
 
-Thread-safety comes for free: every gateway already serializes on its
-shard locks, so the threading server can hand every connection its own
-handler thread.
+This module is only the HTTP/1.1 transport: routing, auth, tenant
+stamping, idempotency and error mapping are the shared
+:class:`~repro.service.wire.aio_server.WireRequestExecutor`, the same
+engine the asyncio server runs.  Thread-safety comes for free: every
+gateway already serializes on its shard locks, so the threading server
+can hand every connection its own handler thread.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import random
 import threading
 import traceback
-from collections import OrderedDict
-from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
-from urllib.parse import parse_qs, urlsplit
 
-from repro.core.api import PreBackend, resolve_backend
+from repro.core.api import PreBackend
 from repro.pairing.group import PairingGroup
-from repro.service.gateway import (
-    EntryMissingError,
-    FetchRequest,
-    GatewayError,
-    GrantRequest,
-    InvalidRequestError,
-    ReEncryptRequest,
-    RevokeRequest,
+from repro.service.gateway import InvalidRequestError
+from repro.service.telemetry import TRACE_HEADER, EventLog
+from repro.service.wire.aio_server import (
+    PROMETHEUS_CONTENT_TYPE,
+    STATUS_BY_CODE,
+    IdempotencyWindow,
+    WireRequestExecutor,
+    WireResponse,
+    build_host_map,
+    rejection,
+    request_body_length,
 )
-from repro.service.auth.errors import ForbiddenError
-from repro.service.auth.signing import AUTH_HEADER
-from repro.service.telemetry import (
-    TRACE_HEADER,
-    EventLog,
-    TraceContext,
-    render_prometheus,
-    span_to_json,
-)
-from repro.service.wire.codec import (
-    GrantBatchRequest,
-    GrantBatchResponse,
-    KeyExportRequest,
-    KeyExportResponse,
-    ReEncryptBatchRequest,
-    ReEncryptBatchResponse,
-    ResizeRequest,
-    from_wire,
-    neutral_error_to_wire,
-    scheme_document,
-    to_wire,
-)
+
+# The engine decodes and encodes through ``aio_server``'s codec names;
+# these stay importable here so per-module wrappers (perfbench's codec
+# spans) resolve on both server modules.
+from repro.service.wire.codec import from_wire, to_wire  # noqa: F401
 
 __all__ = [
     "GatewayHttpServer",
@@ -102,183 +85,9 @@ __all__ = [
     "build_host_map",
 ]
 
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-# Taxonomy code -> HTTP status.  Codes not listed map to 500.
-STATUS_BY_CODE = {
-    "rate-limited": 429,
-    "quota-exceeded": 429,
-    "no-delegation": 404,
-    "entry-not-found": 404,
-    "invalid-request": 400,
-    "no-store": 503,
-    # A routing tier that cannot reach a shard process is the server
-    # being (partially) unavailable, not the request being wrong.
-    "wire-transport": 503,
-    # Authentication failures (who are you?) are 401; an authenticated
-    # tenant whose roles refuse the operation is 403.
-    "auth-failed": 401,
-    "auth-required": 401,
-    "auth-unknown-tenant": 401,
-    "auth-bad-signature": 401,
-    "auth-stale-timestamp": 401,
-    "auth-replay": 401,
-    "auth-forbidden": 403,
-}
-
-_MAX_BODY_BYTES = 64 * 1024 * 1024  # refuse absurd Content-Length up front
-
-# The per-fleet operation names (the last path segment after the scheme
-# prefix, or the whole tail for the legacy unprefixed family).
-_POST_OPS = frozenset({"grant", "revoke", "reencrypt", "fetch", "resize", "export"})
-_GET_OPS = frozenset({"metrics", "scheme"})
-
-# Mutations whose wire replay must be deduplicated by client request id.
-_IDEMPOTENT_OPS = frozenset({"revoke", "resize"})
-
-
-def build_host_map(gateway=None, group=None, gateways=None):
-    """Validate the hosted-fleet arguments into ``(hosts, scheme_ids)``.
-
-    Shared by the threaded and asyncio servers so both accept the exact
-    same ``gateway``/``group``/``gateways`` spellings: ``hosts`` maps
-    each scheme id to its ``(fleet, backend)`` pair, ``scheme_ids``
-    keeps the hosting order.
-    """
-    if gateways is None:
-        if gateway is None:
-            raise ValueError("pass a gateway (or a gateways sequence)")
-        gateways = [gateway]
-    elif gateway is not None:
-        raise ValueError("pass either gateway or gateways, not both")
-    gateways = list(gateways)
-    if not gateways:
-        raise ValueError("gateways must not be empty")
-    hosts: dict[str, tuple] = {}
-    scheme_ids: list[str] = []
-    for fleet in gateways:
-        # The wire speaks each gateway's own backend when it has one (an
-        # in-process ReEncryptionGateway always does); ``group`` is the
-        # legacy spelling and the fallback for bare gateway-like objects.
-        backend = getattr(fleet, "backend", None)
-        if backend is None:
-            if group is None:
-                raise ValueError("gateway has no backend; pass group or backend")
-            backend = resolve_backend(group)
-        if backend.scheme_id in hosts:
-            raise ValueError(
-                "scheme %r is already hosted; one fleet per scheme"
-                % backend.scheme_id
-            )
-        hosts[backend.scheme_id] = (fleet, backend)
-        scheme_ids.append(backend.scheme_id)
-    return hosts, scheme_ids
-
-
-class IdempotencyWindow:
-    """A bounded single-flight LRU of completed mutation responses.
-
-    Revoke and resize are not blind replays: rerunning one against the
-    state its first run produced mis-reports the outcome (``removed``
-    flips to False, a second migration moves zero keys).  So the server
-    remembers, per ``(scheme, op, request_id)``, the encoded response of
-    the execution that completed — a retry carrying the same id gets
-    that response verbatim instead of a second execution.
-
-    :meth:`claim` is also a single-flight gate: while one thread
-    executes a key, a duplicate blocks until the executor finishes (or
-    its wait times out and it takes over), so the drop-retry race — the
-    retry arriving while the original request is still running — cannot
-    execute twice either.  Failed executions are never recorded; their
-    retry executes for real.
-
-    Each claim is stamped with an owner token.  When a waiter takes
-    over a stuck key, the original (slow, not dead) executor's
-    :meth:`complete` arrives holding a stale token: it must neither
-    record its payload nor release the taker's in-flight claim —
-    otherwise a third retry would see a free key and execute again
-    while the taker is still running.
-    """
-
-    def __init__(self, capacity: int = 4096, wait_timeout: float = 30.0):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.wait_timeout = wait_timeout
-        self.hits = 0
-        self.takeovers = 0
-        self.stale_completions = 0
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, str] = OrderedDict()
-        self._inflight: dict[tuple, _InflightClaim] = {}
-
-    def claim(self, key: tuple) -> "tuple[str | None, _InflightClaim | None]":
-        """``(recorded_response, None)``, or ``(None, token)`` once the
-        caller owns execution; the token must be passed to :meth:`complete`."""
-        while True:
-            with self._lock:
-                payload = self._entries.get(key)
-                if payload is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return payload, None
-                claim = self._inflight.get(key)
-                if claim is None:
-                    claim = _InflightClaim()
-                    self._inflight[key] = claim
-                    return None, claim
-            if not claim.event.wait(self.wait_timeout):
-                with self._lock:
-                    # The executor is stuck or died without completing;
-                    # take over if nobody else already has.  The stale
-                    # owner's eventual complete() sees a token mismatch
-                    # and cannot clobber this fresh claim.
-                    if self._inflight.get(key) is claim:
-                        takeover = _InflightClaim()
-                        self._inflight[key] = takeover
-                        self.takeovers += 1
-                        return None, takeover
-                # Someone else already took over (or the executor just
-                # finished): loop and wait on whatever claim is current.
-
-    def complete(self, key: tuple, token: "_InflightClaim", payload: str | None) -> None:
-        """Record a successful payload (or release the claim on failure).
-
-        A stale ``token`` — one whose claim was taken over while it ran —
-        records nothing and leaves the current owner's claim in place; it
-        only wakes threads still parked on the stale event so they re-queue
-        behind the current owner.
-        """
-        with self._lock:
-            if self._inflight.get(key) is not token:
-                self.stale_completions += 1
-            else:
-                del self._inflight[key]
-                if payload is not None:
-                    self._entries[key] = payload
-                    self._entries.move_to_end(key)
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-        token.event.set()
-
-
-class _InflightClaim:
-    """One in-flight execution's identity: its owner token and wake event."""
-
-    __slots__ = ("event",)
-
-    def __init__(self):
-        self.event = threading.Event()
-
-
-class _UnknownEndpoint(Exception):
-    def __init__(self, path: str):
-        super().__init__(path)
-        self.path = path
-
 
 class _GatewayRequestHandler(BaseHTTPRequestHandler):
-    """One HTTP request -> one gateway call, errors mapped to the taxonomy."""
+    """HTTP/1.1 framing around the shared :class:`WireRequestExecutor`."""
 
     server_version = "repro-gateway/1.0"
     # HTTP/1.1 + explicit Content-Length on every response enables client
@@ -288,488 +97,56 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     # Nagle on stalls every keep-alive round trip behind a delayed ACK.
     disable_nagle_algorithm = True
 
+    def log_request(self, code="-", size="-") -> None:
+        # The executor already logs one access line per request.
+        pass
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
-        # Not stderr (operators never see a daemon's stderr) and not a
-        # silent pass (PR 6): every line the stdlib would have printed
+        # Not stderr (operators never see a daemon's stderr): what the
+        # stdlib still reports itself (malformed request lines, timeouts)
         # becomes a structured event in the server's bounded event log.
-        log = getattr(self.server, "wire_event_log", None)
-        if log is not None:
-            log.emit(
-                "http-log",
-                client=self.client_address[0],
-                message=format % args,
+        self.server.executor.event_log.emit(
+            "http-log", client=self.client_address[0], message=format % args
+        )
+
+    def __getattr__(self, name: str):
+        # http.server answers a method without a do_<METHOD> with its own
+        # HTML 501; send every method to the executor instead, which
+        # answers unsupported ones with the taxonomy's JSON 501.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
+
+    def _serve(self) -> None:
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        try:
+            length = request_body_length(headers)
+        except InvalidRequestError as error:
+            self._send(rejection(error))
+            return
+        body = self.rfile.read(length) if length else b""
+        self._send(
+            self.server.executor.handle(
+                self.command.upper(), self.path, body, headers, self.client_address[0]
             )
+        )
 
-    # ------------------------------------------------------------- plumbing
+    do_GET = do_POST = _serve  # noqa: N815 - stdlib handler names
 
-    def _send_payload(
-        self, status: int, data: bytes, content_type: str, close: bool = False
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
+    def _send(self, result: WireResponse) -> None:
+        self.send_response(result.status)
+        self.send_header("Content-Type", result.content_type)
+        self.send_header("Content-Length", str(len(result.body)))
         # Echo the request's trace header so the caller can correlate the
         # response (and any retrieved trace) with the id it generated.
-        trace_echo = getattr(self, "_trace_echo", None)
-        if trace_echo:
-            self.send_header(TRACE_HEADER, trace_echo)
-        if close:
+        if result.trace_echo:
+            self.send_header(TRACE_HEADER, result.trace_echo)
+        if result.close:
             # Also flips self.close_connection in the base class, so the
             # keep-alive loop ends after this response.
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
-
-    def _send_json(self, status: int, payload: str, close: bool = False) -> None:
-        self._send_payload(
-            status, payload.encode("utf-8"), "application/json", close=close
-        )
-
-    def _send_text(self, status: int, payload: str, content_type: str) -> None:
-        self._send_payload(status, payload.encode("utf-8"), content_type)
-
-    def _send_gateway_error(
-        self, error: GatewayError, backend: PreBackend | None = None, close: bool = False
-    ) -> None:
-        """Error body, scheme-tagged when a fleet was resolved, neutral else."""
-        status = STATUS_BY_CODE.get(error.code, 500)
-        payload = (
-            to_wire(backend, error) if backend is not None else neutral_error_to_wire(error)
-        )
-        self._send_json(status, payload, close=close)
-
-    def _send_unknown_endpoint(self, path: str) -> None:
-        # Unknown endpoints (and unknown scheme prefixes) are 404s, but
-        # carry the stable invalid-request body like every other rejection.
-        self._send_json(
-            404, neutral_error_to_wire(InvalidRequestError("unknown endpoint %r" % path))
-        )
-
-    def _read_body(self) -> bytes:
-        if self.headers.get("Transfer-Encoding"):
-            # Chunked bodies are never drained here, which would leave
-            # framing bytes to desync the keep-alive stream; the caller
-            # closes the connection on this rejection.
-            raise InvalidRequestError("Transfer-Encoding is not supported")
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise InvalidRequestError("invalid Content-Length") from None
-        if length < 0 or length > _MAX_BODY_BYTES:
-            raise InvalidRequestError("unacceptable Content-Length %d" % length)
-        return self.rfile.read(length)
-
-    def _resolve(self, path: str):
-        """Route a path to ``(op, gateway, backend)``.
-
-        ``/v1/{scheme}/{op}`` selects the hosted fleet whose scheme id
-        matches; the id's own slash is part of the prefix, so the *last*
-        segment is the operation.  A bare ``/v1/{op}`` is the legacy
-        spelling and only resolves while exactly one fleet is hosted.
-        """
-        if not path.startswith("/v1/"):
-            raise _UnknownEndpoint(path)
-        rest = path[len("/v1/"):]
-        hosts = self.server.wire_hosts
-        if "/" in rest:
-            scheme_id, op = rest.rsplit("/", 1)
-            pair = hosts.get(scheme_id)
-            if pair is None:
-                raise _UnknownEndpoint(path)
-            return op, pair[0], pair[1]
-        if self.server.wire_single is None:
-            raise InvalidRequestError(
-                "this server hosts several schemes (%s); use /v1/<scheme>/%s"
-                % (", ".join(self.server.wire_scheme_ids), rest)
-            )
-        gateway, backend = hosts[self.server.wire_single]
-        return rest, gateway, backend
-
-    def _send_prometheus(self, hosts: dict) -> None:
-        snapshots = {
-            scheme_id: fleet.snapshot() for scheme_id, (fleet, _backend) in hosts.items()
-        }
-        self._send_text(200, render_prometheus(snapshots), PROMETHEUS_CONTENT_TYPE)
-
-    def _send_trace(self, trace_id: str) -> None:
-        """Scheme-neutral trace retrieval: search every hosted fleet's ring."""
-        for scheme_id in self.server.wire_scheme_ids:
-            fleet, _backend = self.server.wire_hosts[scheme_id]
-            tracer = getattr(fleet, "tracer", None)
-            if tracer is None:
-                continue
-            spans = tracer.trace(trace_id)
-            if spans:
-                self._send_json(
-                    200,
-                    json.dumps(
-                        {
-                            "trace": trace_id,
-                            "scheme": scheme_id,
-                            "spans": [span_to_json(span) for span in spans],
-                        },
-                        sort_keys=True,
-                    ),
-                )
-                return
-        self._send_json(
-            404,
-            neutral_error_to_wire(EntryMissingError("no trace %r" % trace_id)),
-        )
-
-    def _send_events(self, tail: str) -> None:
-        """Scheme-neutral event retrieval: the newest ``tail`` entries of
-        the server's structured event log, oldest first."""
-        log = getattr(self.server, "wire_event_log", None)
-        if log is None:
-            self._send_json(
-                404,
-                neutral_error_to_wire(
-                    EntryMissingError("this server keeps no event log")
-                ),
-            )
-            return
-        count: int | None = None
-        if tail:
-            try:
-                count = int(tail)
-            except ValueError:
-                count = -1
-            if count < 1:
-                self._send_json(
-                    400,
-                    neutral_error_to_wire(
-                        InvalidRequestError("tail must be a positive integer")
-                    ),
-                )
-                return
-        self._send_json(
-            200, json.dumps({"events": log.tail(count)}, sort_keys=True)
-        )
-
-    def _sanitized_trace_echo(self) -> str | None:
-        """The trace header to echo: re-serialized from the parse, or None.
-
-        Reflecting the raw client value would let a header with embedded
-        CR/LF split the keep-alive response stream; round-tripping through
-        :meth:`TraceContext.from_header` (strict hex ids) drops anything
-        malformed and re-serializes the rest from parts we generated.
-        """
-        trace = TraceContext.from_header(self.headers.get(TRACE_HEADER))
-        return trace.to_header() if trace is not None else None
-
-    def _authorize_observability(self, op: str) -> bool:
-        """Signature gate for GET observability routes on an auth server.
-
-        Metrics, events and traces expose tenant names, audit detail and
-        tracebacks — on a server with a verifier installed they demand a
-        valid signature like any POST (health and scheme discovery stay
-        open; they are what unauthenticated clients negotiate against).
-        Any valid tenant may read them: observability is not role-gated,
-        only authenticated.  Sends the 401 itself when the gate fails.
-        """
-        verifier = getattr(self.server, "wire_auth", None)
-        if verifier is None:
-            return True
-        try:
-            # The client signs the path it requests, query string included.
-            verifier.verify("GET", self.path, b"", self.headers.get(AUTH_HEADER))
-        except GatewayError as error:
-            log = getattr(self.server, "wire_event_log", None)
-            if log is not None:
-                log.emit(
-                    "auth-failure",
-                    op=op,
-                    code=error.code,
-                    client=self.client_address[0],
-                    detail=str(error),
-                )
-            self._send_gateway_error(error)
-            return False
-        return True
-
-    # ------------------------------------------------------------ endpoints
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
-        self._trace_echo = self._sanitized_trace_echo()
-        parts = urlsplit(self.path)
-        base = parts.path
-        query = parse_qs(parts.query)
-        out_format = (query.get("format") or [""])[0]
-        if base == "/v1/health":
-            self._send_json(200, json.dumps({"status": "ok"}))
-            return
-        if base == "/v1/schemes":
-            self._send_json(
-                200,
-                json.dumps(
-                    {
-                        "schemes": [
-                            scheme_document(self.server.wire_hosts[scheme_id][1])
-                            for scheme_id in self.server.wire_scheme_ids
-                        ]
-                    },
-                    sort_keys=True,
-                ),
-            )
-            return
-        if base.startswith("/v1/trace/"):
-            if self._authorize_observability("trace"):
-                self._send_trace(base[len("/v1/trace/"):])
-            return
-        if base == "/v1/events":
-            if self._authorize_observability("events"):
-                self._send_events((query.get("tail") or [""])[0])
-            return
-        if base == "/v1/metrics" and out_format == "prometheus":
-            # One scrape covers every hosted fleet (scheme is a label), so
-            # the unprefixed spelling stays meaningful on a multi-scheme
-            # server even though the JSON spelling would be ambiguous.
-            if self._authorize_observability("metrics"):
-                self._send_prometheus(self.server.wire_hosts)
-            return
-        try:
-            op, gateway, backend = self._resolve(base)
-            if op not in _GET_OPS:
-                raise _UnknownEndpoint(base)
-        except _UnknownEndpoint as error:
-            self._send_unknown_endpoint(error.path)
-            return
-        except InvalidRequestError as error:
-            self._send_gateway_error(error)
-            return
-        if op == "metrics":
-            if not self._authorize_observability("metrics"):
-                return
-            if out_format == "prometheus":
-                self._send_prometheus({backend.scheme_id: (gateway, backend)})
-            else:
-                self._send_json(200, to_wire(backend, gateway.snapshot()))
-        else:  # op == "scheme"
-            self._send_json(200, json.dumps(scheme_document(backend), sort_keys=True))
-
-    def _authenticate(self, op: str, base: str, raw: bytes, gateway, backend):
-        """Verify the request signature and the tenant's role for ``op``.
-
-        Returns the authenticated tenant name, or ``None`` when the
-        server runs without a credential store (anonymous mode — the
-        default, and bit-identical to the pre-auth wire).  Raises the
-        auth taxonomy errors; callers map them like any gateway error.
-        """
-        verifier = getattr(self.server, "wire_auth", None)
-        if verifier is None:
-            return None
-        credential = verifier.verify("POST", base, raw, self.headers.get(AUTH_HEADER))
-        if not verifier.store.allows(credential, op):
-            raise ForbiddenError(
-                "tenant %r (roles: %s) may not call %r"
-                % (credential.tenant, ", ".join(credential.roles) or "-", op)
-            )
-        return credential.tenant
-
-    def _auth_failure(self, op: str, gateway, backend, error: GatewayError) -> None:
-        """Record one auth rejection: metrics, structured event, error body."""
-        header = self.headers.get(AUTH_HEADER) or ""
-        tenant = None
-        for part in header.split(";"):
-            if part.startswith("tenant="):
-                tenant = part[len("tenant="):] or None
-                break
-        metrics = getattr(gateway, "metrics", None)
-        if metrics is not None and hasattr(metrics, "observe_auth_failure"):
-            metrics.observe_auth_failure(error.code, op=op, tenant=tenant)
-        log = getattr(self.server, "wire_event_log", None)
-        if log is not None:
-            log.emit(
-                "auth-failure",
-                scheme=backend.scheme_id,
-                op=op,
-                code=error.code,
-                tenant=tenant,
-                client=self.client_address[0],
-                detail=str(error),
-            )
-        self._send_gateway_error(error, backend)
-
-    @staticmethod
-    def _stamp_tenant(request, tenant: str):
-        """Rewrite the request's self-declared tenant to the verified one.
-
-        Quotas, rate limits, metrics and audit records must attribute to
-        the identity that *signed* the request, not whatever the body
-        claims — otherwise one tenant spends another's budget.
-        """
-        if isinstance(request, (GrantBatchRequest, ReEncryptBatchRequest)):
-            return dataclasses.replace(
-                request,
-                requests=tuple(
-                    dataclasses.replace(item, tenant=tenant)
-                    for item in request.requests
-                ),
-            )
-        return dataclasses.replace(request, tenant=tenant)
-
-    def _dispatch(
-        self, op: str, gateway, backend: PreBackend, raw: bytes, trace,
-        auth_tenant: str | None = None,
-    ):
-        """Decode, execute and encode one operation under optional spans.
-
-        ``trace`` is the request's parsed :class:`TraceContext` (or None);
-        it is only forwarded to gateways that actually expose a telemetry
-        surface — bare gateway-like test doubles keep their old call
-        signatures.  ``auth_tenant`` (set only on authenticated servers)
-        overrides every decoded request's tenant field.
-        """
-        tracer = getattr(gateway, "tracer", None)
-        traced = tracer is not None and trace is not None
-        root = tracer.span(trace, "http:%s" % op) if traced else nullcontext(None)
-        with root as http_span:
-            sub = http_span.context if http_span is not None else None
-            with (
-                tracer.span(sub, "decode", {"bytes": len(raw)})
-                if traced
-                else nullcontext()
-            ):
-                if op == "grant":
-                    request = from_wire(
-                        backend, raw, expect=(GrantRequest, GrantBatchRequest)
-                    )
-                elif op == "revoke":
-                    request = from_wire(backend, raw, expect=RevokeRequest)
-                elif op == "reencrypt":
-                    request = from_wire(
-                        backend, raw, expect=(ReEncryptRequest, ReEncryptBatchRequest)
-                    )
-                elif op == "fetch":
-                    request = from_wire(backend, raw, expect=FetchRequest)
-                elif op == "export":
-                    request = from_wire(backend, raw, expect=KeyExportRequest)
-                else:  # op == "resize"
-                    request = from_wire(backend, raw, expect=ResizeRequest)
-                if auth_tenant is not None:
-                    request = self._stamp_tenant(request, auth_tenant)
-            # Revoke/resize retries carry a client-generated request id;
-            # a duplicate gets the recorded response, never a re-execution.
-            dedup = getattr(self.server, "wire_dedup", None)
-            dedup_key = None
-            dedup_token = None
-            if dedup is not None and op in _IDEMPOTENT_OPS:
-                request_id = getattr(request, "request_id", None)
-                if request_id:
-                    dedup_key = (backend.scheme_id, op, request_id)
-                    cached, dedup_token = dedup.claim(dedup_key)
-                    if cached is not None:
-                        if http_span is not None:
-                            http_span.set("idempotent_replay", True)
-                        return cached
-            try:
-                kwargs = {"trace": sub} if traced else {}
-                if op == "grant":
-                    if isinstance(request, GrantBatchRequest):
-                        response = GrantBatchResponse(
-                            responses=tuple(
-                                gateway.grant(item, **kwargs)
-                                for item in request.requests
-                            )
-                        )
-                    else:
-                        response = gateway.grant(request, **kwargs)
-                elif op == "revoke":
-                    response = gateway.revoke(request, **kwargs)
-                elif op == "reencrypt":
-                    if isinstance(request, ReEncryptBatchRequest):
-                        response = ReEncryptBatchResponse(
-                            responses=tuple(
-                                gateway.reencrypt_batch(list(request.requests), **kwargs)
-                            )
-                        )
-                    else:
-                        response = gateway.reencrypt(request, **kwargs)
-                elif op == "fetch":
-                    response = gateway.fetch(request, **kwargs)
-                elif op == "export":
-                    response = KeyExportResponse(keys=tuple(gateway.list_keys()))
-                else:  # op == "resize"
-                    response = gateway.resize(
-                        request.shard_count, tenant=request.tenant, **kwargs
-                    )
-                with (
-                    tracer.span(sub, "encode") if traced else nullcontext()
-                ):
-                    payload = to_wire(backend, response)
-            except BaseException:
-                if dedup_token is not None:
-                    dedup.complete(dedup_key, dedup_token, None)
-                raise
-            if dedup_token is not None:
-                dedup.complete(dedup_key, dedup_token, payload)
-        return payload
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
-        trace = TraceContext.from_header(self.headers.get(TRACE_HEADER))
-        self._trace_echo = trace.to_header() if trace is not None else None
-        # Server-side head sampling: the echo header still round-trips
-        # (so the client's correlation id survives), but only the sampled
-        # fraction records spans.  Metrics count every request regardless.
-        sample = getattr(self.server, "wire_trace_sample", 1.0)
-        if trace is not None and sample < 1.0:
-            # One shared deterministic RNG across handler threads: the
-            # lock keeps its Mersenne-Twister state (and the exact
-            # sampled-count guarantee) intact under concurrency.
-            with self.server.wire_trace_rng_lock:
-                sampled = self.server.wire_trace_rng.random() < sample
-            if not sampled:
-                trace = None
-        try:
-            raw = self._read_body()
-        except InvalidRequestError as error:
-            # The body was never read, so this HTTP/1.1 connection is
-            # desynchronized — close it with the rejection instead of
-            # letting unread body bytes masquerade as the next request.
-            self._send_gateway_error(error, close=True)
-            return
-        base = urlsplit(self.path).path
-        try:
-            op, gateway, backend = self._resolve(base)
-            if op not in _POST_OPS:
-                raise _UnknownEndpoint(base)
-        except _UnknownEndpoint as error:
-            self._send_unknown_endpoint(error.path)
-            return
-        except InvalidRequestError as error:
-            self._send_gateway_error(error)
-            return
-        try:
-            auth_tenant = self._authenticate(op, base, raw, gateway, backend)
-        except GatewayError as error:
-            self._auth_failure(op, gateway, backend, error)
-            return
-        try:
-            payload = self._dispatch(
-                op, gateway, backend, raw, trace, auth_tenant=auth_tenant
-            )
-        except GatewayError as error:
-            self._send_gateway_error(error, backend)
-        except Exception as error:  # noqa: BLE001 - wire boundary
-            # Nothing library-internal may leak as a stack trace; the
-            # closed taxonomy's base code is the catch-all — but the full
-            # detail lands in the structured event log, where an operator
-            # can actually find it (PR 6: these used to vanish).
-            log = getattr(self.server, "wire_event_log", None)
-            if log is not None:
-                log.emit(
-                    "server-error",
-                    scheme=backend.scheme_id,
-                    op=op,
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    trace=trace.trace_id if trace is not None else None,
-                    traceback=traceback.format_exc(limit=8),
-                )
-            self._send_gateway_error(GatewayError("internal error: %s" % error), backend)
-        else:
-            self._send_json(200, payload)
+        self.wfile.write(result.body)
 
 
 class _EventedThreadingHTTPServer(ThreadingHTTPServer):
@@ -780,7 +157,7 @@ class _EventedThreadingHTTPServer(ThreadingHTTPServer):
     dropped connection is diagnosable after the fact.
     """
 
-    wire_event_log: EventLog | None = None
+    executor: WireRequestExecutor
 
     # The socketserver default backlog of 5 resets connections the moment
     # a pooled client dials its sockets in one burst; listen deep enough
@@ -789,13 +166,11 @@ class _EventedThreadingHTTPServer(ThreadingHTTPServer):
     request_queue_size = 1024
 
     def handle_error(self, request, client_address) -> None:  # noqa: D102
-        log = self.wire_event_log
-        if log is not None:
-            log.emit(
-                "connection-error",
-                client=str(client_address),
-                traceback=traceback.format_exc(limit=8),
-            )
+        self.executor.event_log.emit(
+            "connection-error",
+            client=str(client_address),
+            traceback=traceback.format_exc(limit=8),
+        )
 
 
 class GatewayHttpServer:
@@ -834,8 +209,6 @@ class GatewayHttpServer:
         signature, without one the wire stays anonymous.
         ``trace_sample`` is the server-side head-sampling fraction for
         incoming trace headers (1.0 records every traced request)."""
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError("trace_sample must be in [0, 1]")
         self.hosts, self.scheme_ids = build_host_map(gateway, group, gateways)
         # Single-scheme attribute surface, kept for existing callers.
         self.gateway = self.hosts[self.scheme_ids[0]][0]
@@ -849,21 +222,17 @@ class GatewayHttpServer:
         # One dedup window per server (scheme id is part of the key), so
         # retried revoke/resize replays are answered from the record.
         self.dedup = IdempotencyWindow()
+        self.executor = WireRequestExecutor(
+            self.hosts,
+            self.scheme_ids,
+            self.event_log,
+            self.dedup,
+            auth=auth,
+            trace_sample=trace_sample,
+        )
         self._httpd = _EventedThreadingHTTPServer((host, port), _GatewayRequestHandler)
         self._httpd.daemon_threads = True
-        self._httpd.wire_hosts = self.hosts
-        self._httpd.wire_scheme_ids = list(self.scheme_ids)
-        self._httpd.wire_single = self.scheme_ids[0] if len(self.scheme_ids) == 1 else None
-        self._httpd.wire_event_log = self.event_log
-        self._httpd.wire_dedup = self.dedup
-        self._httpd.wire_auth = auth
-        self._httpd.wire_trace_sample = float(trace_sample)
-        # Deterministic seed: sampling decisions are reproducible across
-        # runs, and tests can predict exact sampled counts.  The lock
-        # serializes handler threads' draws so the deterministic sequence
-        # (and the generator state itself) survives concurrency.
-        self._httpd.wire_trace_rng = random.Random(0x5EED)
-        self._httpd.wire_trace_rng_lock = threading.Lock()
+        self._httpd.executor = self.executor
         self.auth = auth
         self._url_scheme = "http"
         if tls is not None:

@@ -1,20 +1,26 @@
-"""Conformance tests for the asyncio wire stack against the threaded one.
+"""Conformance tests for the threaded and asyncio wire stacks.
 
-The threaded :class:`GatewayHttpServer` + pooled :class:`RemoteGateway`
-pair is the reference implementation; these tests stand all three stacks
-up over *identically seeded* gateways and assert the asyncio server
-(HTTP/1.1 mode and mux framing mode) answers byte-for-byte what the
-reference answers — success payloads and taxonomy error bodies alike.
-On top of the byte conformance: typed-client parity for every operation,
-auth and TLS variants, and the one-socket multiplexing bound.
+Both servers are transports over one request engine
+(:class:`~repro.service.wire.aio_server.WireRequestExecutor`), so the
+reference is recorded data, not a second implementation:
+``tests/data/wire_transcript.json`` holds the ``(status, body)`` answers
+to a scripted operation stream, recorded from the threaded server before
+it became a thin adapter.  These tests stand all three stacks (threaded
+HTTP, asyncio HTTP/1.1 and asyncio mux) up over *identically seeded*
+gateways and assert each replays that transcript byte for byte —
+success payloads and taxonomy error bodies alike.  On top of the byte
+conformance: typed-client parity for every operation, auth and TLS
+variants, and the one-socket multiplexing bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 import threading
 import time
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -56,6 +62,7 @@ from repro.service.wire.codec import KeyExportRequest, ResizeRequest
 SEED = "aio-conformance"
 PREFIX = "/v1/tipre/v1"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+TRANSCRIPT = Path(__file__).parent / "data" / "wire_transcript.json"
 
 
 def _build():
@@ -123,6 +130,9 @@ def _op_sequence(setting):
         ("GET", "/v1/schemes", None),
         ("GET", PREFIX + "/scheme", None),
         ("POST", PREFIX + "/revoke", wire(revoke_of(key0, "aa" * 16))),
+        # A retried revoke: the same request id answers the recorded
+        # first outcome (removed=true) instead of executing again.
+        ("POST", PREFIX + "/revoke", wire(revoke_of(key0, "aa" * 16))),
         ("POST", PREFIX + "/grant", wire(GrantRequest(tenant="t", proxy_key=key0))),
         (
             "POST",
@@ -158,7 +168,7 @@ def _replay(client, sequence):
 
 @pytest.fixture()
 def three_stacks():
-    """Reference, asyncio-HTTP and asyncio-mux stacks over identical twins."""
+    """Threaded, asyncio-HTTP and asyncio-mux stacks over identical twins."""
     settings_ = [_build() for _ in range(3)]
     threaded = GatewayHttpServer(settings_[0].gateway, settings_[0].group).start()
     aio_http = AsyncGatewayServer(settings_[1].gateway, settings_[1].group).start()
@@ -181,19 +191,49 @@ def three_stacks():
 
 class TestCrossStackConformance:
     def test_every_op_bit_identical_across_stacks(self, three_stacks):
-        """Same scripted stream -> same (status, body) bytes on all three."""
+        """Same scripted stream -> the recorded (status, body) bytes on all three."""
         settings_, clients = three_stacks
-        transcripts = [
-            _replay(client, _op_sequence(setting))
-            for setting, client in zip(settings_, clients)
+        recorded = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
+        sequence = _op_sequence(settings_[0])
+        assert [entry["request"] for entry in recorded] == [
+            "%s %s" % (method, path) for method, path, _data in sequence
         ]
-        reference = transcripts[0]
-        for transcript in transcripts[1:]:
-            assert transcript == reference
+        expected = [
+            (entry["status"], entry["body"].encode("utf-8")) for entry in recorded
+        ]
+        for setting, client in zip(settings_, clients):
+            assert _replay(client, _op_sequence(setting)) == expected
         # Sanity: the script really exercised both outcomes.
-        statuses = [status for status, _body in reference]
+        statuses = [status for status, _body in expected]
         assert 200 in statuses and 400 in statuses
         assert 404 in statuses and 503 in statuses
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE"])
+    def test_unsupported_method_answers_alike_on_both_http_stacks(
+        self, three_stacks, method
+    ):
+        """Every method reaches the engine: one taxonomy 501 on both stacks."""
+        import http.client
+
+        _settings, clients = three_stacks
+        answers = []
+        for client in clients[:2]:
+            parts = urllib.parse.urlsplit(client.url)
+            connection = http.client.HTTPConnection(
+                parts.hostname, parts.port, timeout=10.0
+            )
+            try:
+                connection.request(method, PREFIX + "/grant", body=b"{}")
+                response = connection.getresponse()
+                answers.append(
+                    (response.status, response.getheader("Connection"), response.read())
+                )
+            finally:
+                connection.close()
+        assert answers[0] == answers[1]
+        status, connection_header, body = answers[0]
+        assert (status, connection_header) == (501, "close")
+        assert json.loads(body)["body"]["code"] == "invalid-request"
 
     def test_resize_parity_across_stacks(self, three_stacks):
         """Resize moves identical keys everywhere; only timing may differ."""
@@ -334,6 +374,36 @@ class TestMuxTypedClient:
             MuxRemoteGateway("http://127.0.0.1:80", group)
         with pytest.raises(ValueError, match="explicit port"):
             MuxRemoteGateway("mux://127.0.0.1", group)
+
+
+class TestTeardown:
+    def test_mux_client_close_is_prompt_and_stops_its_reader(self, mux_loopback):
+        setting, _server, client = mux_loopback
+        client.reencrypt(_reencrypt_requests(setting, 1)[0])
+        reader = client._reader
+        assert reader is not None and reader.is_alive()
+        started = time.perf_counter()
+        client.close()
+        assert time.perf_counter() - started < 0.5
+        assert not reader.is_alive()
+
+    def test_async_server_close_joins_its_worker_threads(self):
+        setting = _build()
+        before = set(threading.enumerate())
+        server = AsyncGatewayServer(setting.gateway, setting.group, workers=2).start()
+        client = RemoteGateway(server.http_url, setting.group)
+        try:
+            client.reencrypt(_reencrypt_requests(setting, 1)[0])
+        finally:
+            client.close()
+            server.close()
+            setting.gateway.close()
+        leaked = [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("gateway-aio")
+        ]
+        assert leaked == []
 
 
 class TestConnectGateway:
